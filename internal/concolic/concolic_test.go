@@ -453,7 +453,10 @@ func modelInput(e *Engine, m *smt.Model, fallback []int64) []int64 {
 	return out
 }
 
-// TestAltAndExpectedTrace checks the ALT construction and trace prediction.
+// TestAltAndExpectedTrace checks the ALT construction and the trace
+// prediction the search derives from it: an input satisfying Alt(k) follows
+// the executed branch events before PC[k].EventIndex and then the other side
+// of that event.
 func TestAltAndExpectedTrace(t *testing.T) {
 	src := `
 fn main(x int) {
@@ -477,7 +480,13 @@ fn main(x int) {
 	if ex2.Result.Kind != mini.StopError {
 		t.Fatalf("flipping should reach the bug, got %+v", ex2.Result)
 	}
-	exp := ex.ExpectedTrace(1)
+	idx := ex.PC[1].EventIndex
+	if idx != 1 {
+		t.Fatalf("PC[1].EventIndex = %d, want 1", idx)
+	}
+	flipped := ex.Result.Branches[idx]
+	flipped.Taken = !flipped.Taken
+	exp := append(append([]mini.BranchEvent(nil), ex.Result.Branches[:idx]...), flipped)
 	if len(exp) != 2 || !exp[0].Taken || !exp[1].Taken {
 		t.Fatalf("expected trace = %v", exp)
 	}

@@ -150,19 +150,6 @@ func (ex *Execution) Alt(k int) sym.Expr {
 	return sym.AndExpr(parts...)
 }
 
-// ExpectedTrace returns the branch trace an input satisfying Alt(k) is
-// predicted to follow: the executed prefix up to the k-th constraint's branch
-// event, with that event flipped.
-func (ex *Execution) ExpectedTrace(k int) []mini.BranchEvent {
-	idx := ex.PC[k].EventIndex
-	out := make([]mini.BranchEvent, idx+1)
-	copy(out, ex.Result.Branches[:idx])
-	ev := ex.Result.Branches[idx]
-	ev.Taken = !ev.Taken
-	out[idx] = ev
-	return out
-}
-
 // Engine executes one program under one mode, owning the symbolic input
 // variables (stable across runs, so path constraints from different runs
 // share a vocabulary) and, in ModeHigherOrder, the persistent IOF store.

@@ -271,16 +271,16 @@ func (p *prover) searchT(conjuncts []sym.Expr, defs []Def, trace []tstep, depth 
 		return p.finish(conjuncts, defs, trace)
 	}
 
-	for _, ch := range p.choices(conjuncts, target) {
+	var found *Strategy
+	p.eachChoice(conjuncts, target, func(ch choice) bool {
 		next, ndefs, ok := p.apply(conjuncts, defs, ch)
 		if !ok {
-			continue
+			return false
 		}
-		if st := p.searchT(next, ndefs, append(trace[:len(trace):len(trace)], tstep{ch: ch}), depth+1); st != nil {
-			return st
-		}
-	}
-	return nil
+		found = p.searchT(next, ndefs, append(trace[:len(trace):len(trace)], tstep{ch: ch}), depth+1)
+		return found != nil
+	})
+	return found
 }
 
 // describe renders one proof step for the derivation trace.
@@ -400,15 +400,18 @@ func solveForVar(c *sym.Cmp, op sym.CmpOp) (*Def, bool) {
 	return nil, false
 }
 
-// choices enumerates the applicable proof steps on conjunct target.
-func (p *prover) choices(conjuncts []sym.Expr, target int) []choice {
-	var out []choice
+// eachChoice offers the applicable proof steps on conjunct target to try, in
+// order, until try reports success. Steps are built on demand: once a step
+// leads to a proof the remaining ones — typically one sample-binding step per
+// recorded sample — are never constructed.
+func (p *prover) eachChoice(conjuncts []sym.Expr, target int, try func(choice) bool) {
 	switch c := conjuncts[target].(type) {
 	case *sym.Or:
 		for i, d := range c.Xs {
-			out = append(out, choice{kind: 3, dropIdx: target, disjIdx: i, disj: d})
+			if try(choice{kind: 3, dropIdx: target, disjIdx: i, disj: d}) {
+				return
+			}
 		}
-		return out
 	case *sym.Cmp:
 		// EUF functionality: f(s̄) − f(t̄) = 0 follows from s̄ = t̄.
 		if c.Op == sym.OpEq && len(c.S.Terms) == 2 && c.S.Const == 0 {
@@ -421,22 +424,27 @@ func (p *prover) choices(conjuncts []sym.Expr, target int) []choice {
 				for i := range a0.Args {
 					eqs[i] = sym.Eq(a0.Args[i], a1.Args[i])
 				}
-				out = append(out, choice{kind: 1, eufIdx: target, eufEqs: eqs})
+				if try(choice{kind: 1, eufIdx: target, eufEqs: eqs}) {
+					return
+				}
 			}
 		}
 		// Definitional: solve for a ±1-coefficient variable.
 		if d, ok := solveForVar(c, c.Op); ok {
-			out = append(out, choice{kind: 0, defVar: d.Var, defTerm: d.Term, dropIdx: target})
+			if try(choice{kind: 0, defVar: d.Var, defTerm: d.Term, dropIdx: target}) {
+				return
+			}
 		}
 		// Sample binding: for each application in the conjunct, each
 		// recorded sample of its function symbol is a candidate.
 		for _, app := range sym.Applies(c) {
 			for _, s := range p.samples.ForFunc(app.Fn) {
-				out = append(out, choice{kind: 2, sampApp: app, sampVal: s, dropIdx: target})
+				if try(choice{kind: 2, sampApp: app, sampVal: s, dropIdx: target}) {
+					return
+				}
 			}
 		}
 	}
-	return out
 }
 
 // apply executes one proof step, returning the new goal state.
@@ -475,10 +483,11 @@ func (p *prover) apply(conjuncts []sym.Expr, defs []Def, ch choice) ([]sym.Expr,
 		app, s := ch.sampApp, ch.sampVal
 		next := make([]sym.Expr, 0, len(conjuncts)+len(app.Args))
 		key := app.Key()
+		out := sym.Int(s.Out) // terms are immutable: one constant serves every rewrite
 		for _, c := range conjuncts {
 			next = append(next, sym.RewriteApplies(c, func(a *sym.Apply) (*sym.Sum, bool) {
 				if a.Key() == key {
-					return sym.Int(s.Out), true
+					return out, true
 				}
 				return nil, false
 			}))

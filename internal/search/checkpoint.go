@@ -355,7 +355,7 @@ func encodeItem(it item) (itemRec, error) {
 	rec := itemRec{
 		Input:    it.input,
 		Funcs:    encodeFuncVals(it.funcs),
-		Expected: it.expected,
+		Expected: it.expected.trace(),
 		Bound:    it.bound,
 		Rung:     int(it.rung),
 		NoExpand: it.noExpand,
@@ -370,7 +370,7 @@ func encodeItem(it item) (itemRec, error) {
 			return rec, err
 		}
 		rec.Pending = &pendingRec{
-			Strategy: strat, Alt: alt, Expected: pt.expected,
+			Strategy: strat, Alt: alt, Expected: pt.expected.trace(),
 			Fallback: pt.fallback, Funcs: encodeFuncVals(pt.funcs),
 			Bound: pt.bound, Retries: pt.retries, Hot: pt.hot,
 		}
@@ -389,7 +389,7 @@ func decodeItem(rec itemRec, res *sym.Resolver) (item, error) {
 	it := item{
 		input:    rec.Input,
 		funcs:    funcs,
-		expected: rec.Expected,
+		expected: predictionOf(rec.Expected),
 		bound:    rec.Bound,
 		rung:     Rung(rec.Rung),
 		noExpand: rec.NoExpand,
@@ -411,7 +411,7 @@ func decodeItem(rec itemRec, res *sym.Resolver) (item, error) {
 			return item{}, err
 		}
 		it.pending = &pendingTarget{
-			strategy: strat, alt: alt, expected: p.Expected,
+			strategy: strat, alt: alt, expected: predictionOf(p.Expected),
 			fallback: p.Fallback, funcs: pfuncs,
 			bound: p.Bound, retries: p.Retries, hot: p.Hot,
 		}

@@ -116,7 +116,7 @@ type Options struct {
 // prediction used for divergence checking and the generational bound.
 type item struct {
 	input    []int64
-	expected []mini.BranchEvent
+	expected prediction
 	bound    int
 	pending  *pendingTarget
 	// funcs are the function-valued inputs the test runs under, aligned with
@@ -139,7 +139,7 @@ type item struct {
 type pendingTarget struct {
 	strategy *fol.Strategy
 	alt      sym.Expr
-	expected []mini.BranchEvent
+	expected prediction
 	fallback []int64
 	funcs    []*mini.FuncValue
 	bound    int
@@ -394,6 +394,12 @@ type searcher struct {
 	satSessions []*smt.Context
 	// live publishes in-flight progress gauges for /statusz; see live.go.
 	live liveGauges
+	// rel, sigBuf and keyBuf are collectTargets' reusable scratch: the
+	// related-constraint slicer, the parent's trace signature and the target
+	// key under construction.
+	rel    relSlicer
+	sigBuf []byte
+	keyBuf []byte
 }
 
 // satSession returns (creating on first use) the given worker's solver
@@ -694,7 +700,7 @@ func (s *searcher) processBatch(batch []item) bool {
 		if r.ex.Incomplete {
 			s.stats.Incomplete = true
 		}
-		div := it.expected != nil && diverged(r.ex.Result.Branches, it.expected)
+		div := it.expected.diverged(r.ex.Result.Branches)
 		if div {
 			s.stats.Divergences++
 		}
@@ -717,7 +723,7 @@ func (s *searcher) processBatch(batch []item) bool {
 			}
 			if div {
 				s.emit(obs.Event{Kind: "divergence", Worker: -1,
-					Num: map[string]int64{"run": int64(s.stats.Runs), "expected_len": int64(len(it.expected)), "actual_len": int64(len(r.ex.Result.Branches))}})
+					Num: map[string]int64{"run": int64(s.stats.Runs), "expected_len": int64(it.expected.len()), "actual_len": int64(len(r.ex.Result.Branches))}})
 			}
 			for _, b := range s.stats.Bugs[bugsBefore:] {
 				s.emit(obs.Event{Kind: "bug_found", Worker: -1,
@@ -729,7 +735,7 @@ func (s *searcher) processBatch(batch []item) bool {
 			rec := RunRecord{
 				Run: s.stats.Runs, Input: it.input, Funcs: funcsText, Path: r.ex.Result.Path(),
 				Gained: gained, Rung: it.rung,
-				Seed:         !it.noExpand && it.expected == nil,
+				Seed:         !it.noExpand && !it.expected.ok,
 				Intermediate: it.noExpand,
 				Diverged:     div,
 			}
@@ -787,24 +793,11 @@ func (s *searcher) parallelDo(n int, fn func(i, worker int)) {
 	wg.Wait()
 }
 
-// diverged reports whether the actual trace fails to realize the prediction.
-func diverged(actual, expected []mini.BranchEvent) bool {
-	if len(actual) < len(expected) {
-		return true
-	}
-	for i := range expected {
-		if actual[i] != expected[i] {
-			return true
-		}
-	}
-	return false
-}
-
 // target is one proof obligation of an expansion: ALT(pc_k) with its trace
 // prediction. The solve phase fills the result fields.
 type target struct {
 	alt      sym.Expr
-	expected []mini.BranchEvent
+	expected prediction
 	k        int
 	cacheKey string
 	// Higher-order result: core strategy (no fallback defs) and outcome.
@@ -841,28 +834,48 @@ type target struct {
 // so they are discharged concurrently and their results applied in constraint
 // order.
 func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
-	// The prefix grows by one conjunct per constraint; precomputing each
-	// conjunct's variable set here keeps the per-target slicing linear in the
-	// path length instead of re-extracting every prefix entry's variables for
-	// every target (quadratic in path length).
-	prefix := make([]sliceEntry, 0, len(ex.PC))
-	for i := 0; i < bound && i < len(ex.PC); i++ {
-		e := ex.PC[i].Expr
-		prefix = append(prefix, sliceEntry{expr: e, vars: depIDs(e)})
+	targets, callback := s.collectTargets(ex, bound)
+	if len(targets) > 0 {
+		if s.eng.Mode == concolic.ModeHigherOrder {
+			s.solveTargetsHigherOrder(targets, ex, hot)
+		} else {
+			s.solveTargetsSat(targets, ex, hot)
+		}
 	}
-	var targets, callback []*target
+	if len(callback) > 0 {
+		s.solveTargetsCallback(callback, ex, hot)
+	}
+}
+
+// collectTargets negates each negatable constraint of the execution from the
+// generational bound onward and returns the targets not seen before, sliced
+// to their related constraints: plain targets and, separately, those that
+// constrain a function-valued input.
+func (s *searcher) collectTargets(ex *concolic.Execution, bound int) (targets, callback []*target) {
+	// The related-constraint slicer grows with the prefix, one conjunct per
+	// constraint. No target copies the trace prefix: its prediction shares
+	// the parent's trace, and its dedup key is assembled in a reused buffer
+	// from the trace signature computed once here, becoming a string only
+	// when the target is new.
+	rel := &s.rel
+	defer rel.reset()
+	for i := 0; i < bound && i < len(ex.PC); i++ {
+		rel.add(ex.PC[i].Expr)
+	}
+	branches := ex.Result.Branches
+	s.sigBuf = appendTraceSig(s.sigBuf[:0], branches)
 	for k := bound; k < len(ex.PC); k++ {
 		c := ex.PC[k]
 		if c.IsConcretization {
-			prefix = append(prefix, sliceEntry{expr: c.Expr, vars: depIDs(c.Expr)})
+			rel.add(c.Expr)
 			continue
 		}
 		negated := sym.NotExpr(c.Expr)
-		expected := ex.ExpectedTrace(k)
-		key := targetKey(expected, negated)
-		if !s.targeted[key] {
-			s.targeted[key] = true
-			t := &target{alt: sliceAltPre(prefix, negated), expected: expected, k: k, worker: -1}
+		expected := predictFlip(branches, c.EventIndex)
+		s.keyBuf = appendTargetKey(s.keyBuf[:0], s.sigBuf, expected, negated)
+		if !s.targeted[string(s.keyBuf)] {
+			s.targeted[string(s.keyBuf)] = true
+			t := &target{alt: rel.slice(negated), expected: expected, k: k, worker: -1}
 			if hasInputFn(t.alt) {
 				// The target constrains a function-valued input: it is solved
 				// by the witness-constructor path (funcsynth.go), which
@@ -879,18 +892,9 @@ func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
 					}})
 			}
 		}
-		prefix = append(prefix, sliceEntry{expr: c.Expr, vars: depIDs(c.Expr)})
+		rel.add(c.Expr)
 	}
-	if len(targets) > 0 {
-		if s.eng.Mode == concolic.ModeHigherOrder {
-			s.solveTargetsHigherOrder(targets, ex, hot)
-		} else {
-			s.solveTargetsSat(targets, ex, hot)
-		}
-	}
-	if len(callback) > 0 {
-		s.solveTargetsCallback(callback, ex, hot)
-	}
+	return targets, callback
 }
 
 // solveTargetsHigherOrder discharges the expansion's validity proofs:
@@ -1236,7 +1240,7 @@ func (s *searcher) inBounds(input []int64) bool {
 // enqueueTest queues a generated test, recording which precision-ladder rung
 // produced it (RungProof for strategies, RungQF for plain solving, lower for
 // degraded targets).
-func (s *searcher) enqueueTest(input []int64, funcs []*mini.FuncValue, expected []mini.BranchEvent, bound int, hot bool, rung Rung) {
+func (s *searcher) enqueueTest(input []int64, funcs []*mini.FuncValue, expected prediction, bound int, hot bool, rung Rung) {
 	if s.tried[s.runKey(input, funcs)] {
 		return
 	}

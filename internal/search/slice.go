@@ -1,72 +1,109 @@
 package search
 
 import (
-	"hotg/internal/mini"
+	"slices"
+
 	"hotg/internal/sym"
 )
 
-// sliceAlt computes the classic DART/SAGE "related constraints" optimization:
-// from the alternate path constraint prefix ∧ ¬c_k, keep only the conjuncts
-// that transitively share input variables with the negated constraint. The
-// dropped conjuncts are satisfied by keeping their variables at the parent
-// input's values (the parent run satisfied every prefix conjunct), so a
-// solution of the slice extends to a solution of the full alternate
-// constraint — at a fraction of the solving cost.
-func sliceAlt(prefix []sym.Expr, negated sym.Expr) sym.Expr {
-	entries := make([]sliceEntry, 0, len(prefix))
-	for _, e := range prefix {
-		entries = append(entries, sliceEntry{expr: e, vars: varIDs(e)})
-	}
-	return sliceAltPre(entries, negated)
+// relSlicer computes the classic DART/SAGE "related constraints"
+// optimization over a growing path-constraint prefix: from the alternate
+// constraint prefix ∧ ¬c_k, keep only the conjuncts that transitively share
+// input variables (or function-valued inputs, see depIDs) with the negated
+// constraint. The dropped conjuncts are satisfied by keeping their variables
+// at the parent input's values (the parent run satisfied every prefix
+// conjunct), so a solution of the slice extends to a solution of the full
+// alternate constraint — at a fraction of the solving cost.
+//
+// "Transitively share" is connectivity: each prefix conjunct joins its
+// dependencies into one class of a union-find, and a conjunct belongs to the
+// slice iff its class holds a dependency of the negated constraint.
+// collectTargets adds each conjunct once as the prefix grows, so no target
+// reruns the reachability fixpoint over the whole prefix. Only the search coordinator
+// uses it; one instance is reused across expansions.
+type relSlicer struct {
+	// node maps a variable ID or callback pseudo-ID to its union-find node;
+	// parent is the forest over those nodes.
+	node   map[int]int32
+	parent []int32
+	// entries are the prefix conjuncts in order, each with one node of its
+	// class (-1 for a conjunct without dependencies, which no slice keeps).
+	entries []relEntry
+	// roots and parts are scratch for slice.
+	roots []int32
+	parts []sym.Expr
 }
 
-// sliceEntry is one prefix conjunct with its variable set precomputed, so a
-// caller slicing the same growing prefix against many negated constraints
-// (expand) extracts each conjunct's variables once instead of once per target.
-type sliceEntry struct {
+type relEntry struct {
 	expr sym.Expr
-	vars []int
+	node int32
 }
 
-// sliceAltPre is sliceAlt over a prefix whose variable sets are already
-// known. It never mutates entries, which the caller keeps across calls.
-func sliceAltPre(entries []sliceEntry, negated sym.Expr) sym.Expr {
-	used := make([]bool, len(entries))
-	reach := map[int]bool{}
-	for _, id := range varIDs(negated) {
-		reach[id] = true
+// reset empties the prefix, keeping the allocated storage but dropping the
+// references to the previous execution's formulas.
+func (r *relSlicer) reset() {
+	clear(r.node)
+	r.parent = r.parent[:0]
+	clear(r.entries)
+	r.entries = r.entries[:0]
+}
+
+// add appends a conjunct to the prefix.
+func (r *relSlicer) add(e sym.Expr) {
+	if r.node == nil {
+		r.node = make(map[int]int32)
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := range entries {
-			if used[i] {
-				continue
-			}
-			hit := false
-			for _, id := range entries[i].vars {
-				if reach[id] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
-			used[i] = true
-			changed = true
-			for _, id := range entries[i].vars {
-				reach[id] = true
+	n := int32(-1)
+	for _, id := range depIDs(e) {
+		m, ok := r.node[id]
+		if !ok {
+			m = int32(len(r.parent))
+			r.parent = append(r.parent, m)
+			r.node[id] = m
+		}
+		if n < 0 {
+			n = m
+		} else if a, b := r.find(n), r.find(m); a != b {
+			r.parent[b] = a
+		}
+	}
+	r.entries = append(r.entries, relEntry{expr: e, node: n})
+}
+
+// find returns the root of n's class, halving the path on the way.
+func (r *relSlicer) find(n int32) int32 {
+	for r.parent[n] != n {
+		r.parent[n] = r.parent[r.parent[n]]
+		n = r.parent[n]
+	}
+	return n
+}
+
+// slice returns the related prefix conjuncts, in prefix order, conjoined with
+// negated.
+func (r *relSlicer) slice(negated sym.Expr) sym.Expr {
+	roots := r.roots[:0]
+	for _, id := range depIDs(negated) {
+		if n, ok := r.node[id]; ok {
+			if root := r.find(n); !slices.Contains(roots, root) {
+				roots = append(roots, root)
 			}
 		}
 	}
-	parts := make([]sym.Expr, 0, len(entries)+1)
-	for i, e := range entries {
-		if used[i] {
-			parts = append(parts, e.expr)
+	r.roots = roots
+	parts := r.parts[:0]
+	if len(roots) > 0 {
+		for _, e := range r.entries {
+			if e.node >= 0 && slices.Contains(roots, r.find(e.node)) {
+				parts = append(parts, e.expr)
+			}
 		}
 	}
 	parts = append(parts, negated)
-	return sym.AndExpr(parts...)
+	out := sym.AndExpr(parts...) // copies parts
+	clear(parts)
+	r.parts = parts[:0]
+	return out
 }
 
 func varIDs(e sym.Expr) []int {
@@ -105,21 +142,4 @@ func hasInputFn(e sym.Expr) bool {
 		}
 	}
 	return false
-}
-
-// targetKey identifies a flip attempt: the predicted trace (which encodes the
-// path prefix and the flipped event) plus the negated constraint. Identical
-// targets from different parents would generate identical tests, so they are
-// solved at most once.
-func targetKey(expected []mini.BranchEvent, negated sym.Expr) string {
-	buf := make([]byte, len(expected), len(expected)+32)
-	for i, ev := range expected {
-		c := byte('0')
-		if ev.Taken {
-			c = '1'
-		}
-		// Mix the branch ID into the signature.
-		buf[i] = c ^ byte(ev.ID<<1)
-	}
-	return string(buf) + "|" + negated.Key()
 }

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"hotg/internal/campaign"
 	"hotg/internal/obs"
 	"hotg/internal/obshttp"
 	"hotg/internal/serve"
@@ -240,5 +242,42 @@ func TestHTTPFollowEvents(t *testing.T) {
 	}
 	if lines == 0 {
 		t.Fatal("followed stream delivered nothing")
+	}
+}
+
+// TestHTTPEventsOnceStarted: a session has its flight recorder from the
+// moment it leaves the queue, so /events answers with the JSONL dump in every
+// later state, never 409 "no events yet". Holding the session's corpus lock
+// makes its execution fail at the lock, before the search starts, so the
+// recorder must already exist when the session becomes visible as running.
+func TestHTTPEventsOnceStarted(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newHTTPServer(t, serve.Options{Dir: dir})
+	lock, err := campaign.AcquireLock(filepath.Join(dir, "corpus", "held"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lock.Release()
+	st, resp := postCampaign(t, ts, serve.Spec{Workload: "foo", MaxRuns: 5, CorpusID: "held"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, want 202", resp.StatusCode)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var cur serve.Status
+		getJSON(t, ts.URL+"/api/v1/campaigns/"+st.ID, &cur)
+		if cur.State != serve.StateQueued {
+			ev := getJSON(t, ts.URL+"/api/v1/campaigns/"+st.ID+"/events", nil)
+			if ev.StatusCode != http.StatusOK || !strings.Contains(ev.Header.Get("Content-Type"), "jsonl") {
+				t.Fatalf("events in state %s: status %d, content type %q", cur.State, ev.StatusCode, ev.Header.Get("Content-Type"))
+			}
+		}
+		if cur.State == serve.StateFailed {
+			return
+		}
+		if cur.State == serve.StateDone || time.Now().After(deadline) {
+			t.Fatalf("state %s, want failed at the held lock", cur.State)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

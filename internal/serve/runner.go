@@ -12,13 +12,42 @@ import (
 	"hotg/internal/search"
 )
 
-// runSession executes one admitted session end to end: compile the spec,
-// lock the corpus, build the per-session observability stack, run (or
-// resume) the search, commit the corpus, and finalize. It owns the
-// session's slot; releasing it re-pumps the queue.
-func (s *Server) runSession(ses *Session) {
+// sessionRun is what a running session executes under: its cancellation
+// context and its observability stack — an isolated registry and a
+// recorder-only tracer (no writer; events live in the ring, streamed by
+// /events).
+type sessionRun struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	o      *obs.Obs
+}
+
+// startLocked builds a session's run and only then marks it running, so
+// /events never finds a running session without a flight recorder and a
+// cancel request never finds one without a context, however long the session
+// then waits for its corpus lock. Caller holds s.mu.
+func (s *Server) startLocked(ses *Session) sessionRun {
+	rec := obs.NewFlightRecorder(s.opts.FlightRecorderSize)
+	run := sessionRun{o: obs.New()}
+	run.o.Trace = obs.NewTracer(nil).WithRecorder(rec)
+	if s.opts.SessionTimeout > 0 {
+		run.ctx, run.cancel = context.WithTimeout(s.baseCtx, s.opts.SessionTimeout)
+	} else {
+		run.ctx, run.cancel = context.WithCancel(s.baseCtx)
+	}
+	ses.mu.Lock()
+	ses.state = StateRunning
+	ses.o, ses.rec, ses.cancel = run.o, rec, run.cancel
+	ses.mu.Unlock()
+	return run
+}
+
+// runSession executes one started session end to end: compile the spec,
+// lock the corpus, run (or resume) the search, commit the corpus, and
+// finalize. It owns the session's slot; releasing it re-pumps the queue.
+func (s *Server) runSession(ses *Session, run sessionRun) {
 	defer s.wg.Done()
-	st, err := s.execute(ses)
+	st, err := s.execute(ses, run)
 	s.finalize(ses, st, err)
 	s.mu.Lock()
 	s.running--
@@ -28,15 +57,19 @@ func (s *Server) runSession(ses *Session) {
 	s.mu.Unlock()
 }
 
-// execute runs the search for one session. It returns the (possibly
-// partial) stats and the first error encountered; both may be non-nil —
-// a commit failure after a successful search still has stats worth keeping.
-func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
+// execute runs the search for one session, closing the run's context and
+// tracer when it returns. It returns the (possibly partial) stats and the
+// first error encountered; both may be non-nil — a commit failure after a
+// successful search still has stats worth keeping.
+func (s *Server) execute(ses *Session, run sessionRun) (st *search.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: session panicked: %v", r)
 		}
 	}()
+	defer run.o.Trace.Close()
+	defer run.cancel()
+	ctx, o := run.ctx, run.o
 
 	r, err := resolveSpec(ses.spec)
 	if err != nil {
@@ -52,23 +85,6 @@ func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
 		return nil, err
 	}
 	defer lock.Release()
-
-	// Per-session observability: an isolated registry, a recorder-only
-	// tracer (no writer — events live in the ring, streamed by /events).
-	rec := obs.NewFlightRecorder(s.opts.FlightRecorderSize)
-	tracer := obs.NewTracer(nil).WithRecorder(rec)
-	defer tracer.Close()
-	o := obs.New()
-	o.Trace = tracer
-
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	if s.opts.SessionTimeout > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, s.opts.SessionTimeout)
-	}
-	defer cancel()
-	ses.mu.Lock()
-	ses.o, ses.rec, ses.cancel = o, rec, cancel
-	ses.mu.Unlock()
 
 	camp, err := campaign.Open(dir, r.name, r.mode.String(), o)
 	if err != nil {

@@ -385,12 +385,10 @@ func (s *Server) pumpLocked() {
 	for s.running < s.opts.MaxConcurrent && len(s.queue) > 0 && !s.draining {
 		ses := s.queue[0]
 		s.queue = s.queue[1:]
-		ses.mu.Lock()
-		ses.state = StateRunning
-		ses.mu.Unlock()
+		run := s.startLocked(ses)
 		s.running++
 		s.wg.Add(1)
-		go s.runSession(ses)
+		go s.runSession(ses, run)
 	}
 }
 

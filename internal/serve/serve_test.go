@@ -134,19 +134,33 @@ func TestSpecValidation(t *testing.T) {
 func TestBackpressure(t *testing.T) {
 	s := newServer(t, serve.Options{MaxConcurrent: 1, MaxQueue: 2})
 	defer s.Close()
-	var sessions []*serve.Session
-	for i := 0; i < 3; i++ {
+	// The first session holds the only running slot until the test cancels
+	// it: a lexer campaign of a million runs neither finishes nor exhausts
+	// its search while the test submits, so the slot and the queue stay full
+	// however quickly the small sessions behind it would run.
+	hold, err := s.Submit(serve.Spec{Workload: "lexer", MaxRuns: 1_000_000, Workers: 1})
+	if err != nil {
+		t.Fatalf("submit 0: %v", err)
+	}
+	var queued []*serve.Session
+	for i := 1; i < 3; i++ {
 		ses, err := s.Submit(serve.Spec{Workload: "foo", MaxRuns: 25, Workers: 1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		sessions = append(sessions, ses)
+		queued = append(queued, ses)
 	}
 	// Slots: 1 running + 2 queued. The next must bounce.
 	if _, err := s.Submit(serve.Spec{Workload: "foo", MaxRuns: 5}); !errors.Is(err, serve.ErrQueueFull) {
 		t.Fatalf("4th submit: err = %v, want ErrQueueFull", err)
 	}
-	for _, ses := range sessions {
+	if !s.Cancel(hold.ID) {
+		t.Fatalf("Cancel returned false in state %s", hold.State())
+	}
+	if st := waitState(t, hold, 60*time.Second); st != serve.StateCancelled {
+		t.Fatalf("%s: state %s, want cancelled", hold, st)
+	}
+	for _, ses := range queued {
 		if st := waitState(t, ses, 60*time.Second); st != serve.StateDone {
 			t.Fatalf("%s: state %s, want done", ses, st)
 		}

@@ -89,9 +89,6 @@ func NewContext(opts ContextOptions) *Context {
 	if opts.Pool != nil {
 		c.ack = newAckState(opts.Pool)
 	}
-	if opts.MemoSize > 0 {
-		c.memo = make(map[string]ctxResult, opts.MemoSize)
-	}
 	if opts.Retain {
 		c.sat = NewSAT(opts.MaxConflicts)
 		c.sat.SavePhase(true)
@@ -202,7 +199,7 @@ func (c *Context) check(opts Options) (Status, *Model) {
 	}
 	f := sym.AndExpr(c.conjs...)
 	var key string
-	if c.memo != nil {
+	if c.opts.MemoSize > 0 {
 		key = f.Key()
 		if r, ok := c.memo[key]; ok {
 			c.stats.MemoHits++
@@ -211,7 +208,12 @@ func (c *Context) check(opts Options) (Status, *Model) {
 		}
 	}
 	st, m := solveWith(f, opts, c.ack)
-	if c.memo != nil && st != StatusTimeout && st != StatusUnknown && len(c.memo) < c.opts.MemoSize {
+	if c.opts.MemoSize > 0 && st != StatusTimeout && st != StatusUnknown && len(c.memo) < c.opts.MemoSize {
+		if c.memo == nil {
+			// Made on the first stored result, not in NewContext: most
+			// sessions (one per validity proof) never reach the solver.
+			c.memo = make(map[string]ctxResult)
+		}
 		c.memo[key] = ctxResult{st: st, m: copyModel(m)}
 	}
 	return st, m

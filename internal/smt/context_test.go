@@ -353,3 +353,31 @@ func FuzzIncrementalSolve(f *testing.F) {
 		checkStack(t, seed, genStack(rng, vars), opts)
 	})
 }
+
+// TestContextMemoIsLazy: a session with a result memo allocates nothing for
+// it until a check stores a result — most sessions (one per validity proof)
+// never reach the solver — and the memo then answers a repeated check.
+func TestContextMemoIsLazy(t *testing.T) {
+	pool := &sym.Pool{}
+	with := testing.AllocsPerRun(100, func() {
+		NewContext(ContextOptions{Options: Options{Pool: pool}, MemoSize: 512})
+	})
+	without := testing.AllocsPerRun(100, func() {
+		NewContext(ContextOptions{Options: Options{Pool: pool}})
+	})
+	if with != without {
+		t.Fatalf("NewContext with MemoSize 512 makes %v allocations, without a memo %v", with, without)
+	}
+
+	x := pool.NewVar("x")
+	f := sym.Lt(sym.Int(3), sym.VarTerm(x))
+	c := NewContext(ContextOptions{Options: Options{Pool: pool}, MemoSize: 512})
+	st1, m1 := c.SolveUnder(f, nil, time.Time{})
+	st2, m2 := c.SolveUnder(f, nil, time.Time{})
+	if st1 != StatusSat || st2 != st1 || m1.Vars[x.ID] != m2.Vars[x.ID] {
+		t.Fatalf("checks: %v %v, %v %v", st1, m1.Vars, st2, m2.Vars)
+	}
+	if hits := c.Stats().MemoHits; hits != 1 {
+		t.Fatalf("memo hits = %d, want 1", hits)
+	}
+}

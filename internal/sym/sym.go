@@ -387,8 +387,58 @@ func AddSum(a, b *Sum) *Sum {
 	return &Sum{Const: a.Const + b.Const, Terms: terms}
 }
 
-// SubSum returns a - b in canonical form.
-func SubSum(a, b *Sum) *Sum { return AddSum(a, ScaleSum(-1, b)) }
+// SubSum returns a - b in canonical form: the same Sum as
+// AddSum(a, ScaleSum(-1, b)), built in one merge without materializing −b.
+// It is AddSum's merge with b's coefficients negated, kept separate on
+// purpose: SubSum never returns b, so b does not escape, and the constant
+// operand of Eq(x, Int(c)) and the like stays on the caller's stack.
+func SubSum(a, b *Sum) *Sum {
+	if len(b.Terms) == 0 {
+		if b.Const == 0 {
+			return a
+		}
+		return &Sum{Const: a.Const - b.Const, Terms: a.Terms}
+	}
+	if len(a.Terms) == 0 {
+		terms := make([]Term, len(b.Terms))
+		for i, t := range b.Terms {
+			terms[i] = Term{Coef: -t.Coef, Atom: t.Atom}
+		}
+		return &Sum{Const: a.Const - b.Const, Terms: terms}
+	}
+	terms := make([]Term, 0, len(a.Terms)+len(b.Terms))
+	i, j := 0, 0
+	for i < len(a.Terms) && j < len(b.Terms) {
+		ta, tb := a.Terms[i], b.Terms[j]
+		if ta.Atom == tb.Atom {
+			if c := ta.Coef - tb.Coef; c != 0 {
+				terms = append(terms, Term{Coef: c, Atom: ta.Atom})
+			}
+			i++
+			j++
+			continue
+		}
+		switch ka, kb := ta.Atom.Key(), tb.Atom.Key(); {
+		case ka < kb:
+			terms = append(terms, ta)
+			i++
+		case ka > kb:
+			terms = append(terms, Term{Coef: -tb.Coef, Atom: tb.Atom})
+			j++
+		default:
+			if c := ta.Coef - tb.Coef; c != 0 {
+				terms = append(terms, Term{Coef: c, Atom: ta.Atom})
+			}
+			i++
+			j++
+		}
+	}
+	terms = append(terms, a.Terms[i:]...)
+	for _, t := range b.Terms[j:] {
+		terms = append(terms, Term{Coef: -t.Coef, Atom: t.Atom})
+	}
+	return &Sum{Const: a.Const - b.Const, Terms: terms}
+}
 
 // ScaleSum returns k * a in canonical form.
 func ScaleSum(k int64, a *Sum) *Sum {

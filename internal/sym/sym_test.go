@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -376,5 +377,96 @@ func TestQuickNormalInvariant(t *testing.T) {
 				t.Fatalf("atoms out of order in %v", s)
 			}
 		}
+	}
+}
+
+// randCanonSum builds a random canonical sum mixing variables and
+// applications, sometimes constant-only or zero, with occasional extreme
+// constants so wrap-around arithmetic is exercised too.
+func randCanonSum(r *rand.Rand, atoms []*Sum) *Sum {
+	s := Int(0)
+	switch r.Intn(6) {
+	case 0:
+	case 1:
+		s = Int(math.MinInt64 + int64(r.Intn(3)))
+	default:
+		s = Int(int64(r.Intn(21) - 10))
+	}
+	if r.Intn(5) == 0 {
+		return s
+	}
+	for _, a := range atoms {
+		if r.Intn(2) == 0 {
+			s = AddSum(s, ScaleSum(int64(r.Intn(7)-3), a))
+		}
+	}
+	return s
+}
+
+// TestSubSumMatchesAddScale: the one-pass SubSum builds exactly the Sum of
+// AddSum(a, ScaleSum(-1, b)) — same constant, same terms in the same order
+// with the same atoms, and the same pointer when b contributes nothing.
+func TestSubSumMatchesAddScale(t *testing.T) {
+	var p Pool
+	x, y, z := p.NewVar("x"), p.NewVar("y"), p.NewVar("z")
+	f, g := p.FuncSym("f", 1), p.FuncSym("g", 2)
+	atoms := []*Sum{
+		VarTerm(x), VarTerm(y), VarTerm(z),
+		ApplyTerm(f, VarTerm(x)), ApplyTerm(f, Int(3)),
+		ApplyTerm(g, VarTerm(y), AddSum(VarTerm(z), Int(1))),
+	}
+	r := rand.New(rand.NewSource(8))
+	for iter := 0; iter < 5000; iter++ {
+		a := randCanonSum(r, atoms)
+		var b *Sum
+		switch r.Intn(4) {
+		case 0:
+			b = a // full cancellation
+		case 1:
+			b = AddSum(a, randCanonSum(r, atoms[:2])) // heavy overlap
+		default:
+			b = randCanonSum(r, atoms)
+		}
+		want, got := AddSum(a, ScaleSum(-1, b)), SubSum(a, b)
+		if (want == a) != (got == a) {
+			t.Fatalf("iter %d: pointer identity differs: want==a %v, got==a %v", iter, want == a, got == a)
+		}
+		if got.Const != want.Const || len(got.Terms) != len(want.Terms) || (got.Terms == nil) != (want.Terms == nil) {
+			t.Fatalf("iter %d: %v - %v = %v (%#v), want %v (%#v)", iter, a, b, got, got.Terms, want, want.Terms)
+		}
+		for i := range want.Terms {
+			if got.Terms[i] != want.Terms[i] {
+				t.Fatalf("iter %d: term %d = %v, want %v", iter, i, got.Terms[i], want.Terms[i])
+			}
+		}
+		if got.Key() != want.Key() {
+			t.Fatalf("iter %d: key %s, want %s", iter, got.Key(), want.Key())
+		}
+	}
+}
+
+// TestVarsSortedUnique: Vars lists each free variable once, by ID, including
+// variables inside application arguments.
+func TestVarsSortedUnique(t *testing.T) {
+	var p Pool
+	x, y, z := p.NewVar("x"), p.NewVar("y"), p.NewVar("z")
+	f := p.FuncSym("f", 1)
+	e := AndExpr(
+		Eq(AddSum(VarTerm(z), VarTerm(x)), Int(1)),
+		NotExpr(Lt(ApplyTerm(f, VarTerm(y)), VarTerm(z))),
+		OrExpr(Eq(VarTerm(x), Int(2)), Eq(ApplyTerm(f, VarTerm(x)), Int(3))),
+	)
+	got := Vars(e)
+	want := []*Var{x, y, z}
+	if len(got) != len(want) {
+		t.Fatalf("Vars = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Vars = %v, want %v", got, want)
+		}
+	}
+	if vs := Vars(Eq(Int(1), Int(2))); len(vs) != 0 {
+		t.Fatalf("Vars of a ground formula = %v", vs)
 	}
 }

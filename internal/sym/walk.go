@@ -2,50 +2,65 @@ package sym
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Vars returns the free variables of e, deduplicated and ordered by ID.
 func Vars(e Expr) []*Var {
-	seen := make(map[int]*Var)
-	collectVars(e, seen)
-	out := make([]*Var, 0, len(seen))
-	for _, v := range seen {
-		out = append(out, v)
+	out := collectVars(e, nil)
+	slices.SortStableFunc(out, func(a, b *Var) int {
+		switch {
+		case a.ID < b.ID:
+			return -1
+		case a.ID > b.ID:
+			return 1
+		}
+		return 0
+	})
+	// Deduplicate in place; of variables sharing an ID (possible only across
+	// pools) the last one collected is kept.
+	n := 0
+	for i, v := range out {
+		if i+1 < len(out) && out[i+1].ID == v.ID {
+			continue
+		}
+		out[n] = v
+		n++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out[:n]
 }
 
-func collectVars(e Expr, seen map[int]*Var) {
+func collectVars(e Expr, out []*Var) []*Var {
 	switch x := e.(type) {
 	case *Sum:
 		for _, t := range x.Terms {
 			switch a := t.Atom.(type) {
 			case *Var:
-				seen[a.ID] = a
+				out = append(out, a)
 			case *Apply:
 				for _, arg := range a.Args {
-					collectVars(arg, seen)
+					out = collectVars(arg, out)
 				}
 			}
 		}
 	case *Cmp:
-		collectVars(x.S, seen)
+		out = collectVars(x.S, out)
 	case *Not:
-		collectVars(x.X, seen)
+		out = collectVars(x.X, out)
 	case *And:
 		for _, y := range x.Xs {
-			collectVars(y, seen)
+			out = collectVars(y, out)
 		}
 	case *Or:
 		for _, y := range x.Xs {
-			collectVars(y, seen)
+			out = collectVars(y, out)
 		}
 	case *Bool:
 	default:
 		panic(fmt.Sprintf("sym: collectVars: unexpected %T", e))
 	}
+	return out
 }
 
 // Applies returns every uninterpreted function application occurring in e
