@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mini/ -run '^$$' -fuzz 'FuzzFunctionValueRoundTrip$$' -fuzztime 5s
 	$(GO) test ./internal/smt/ -run '^$$' -fuzz 'FuzzSolveConjunction$$' -fuzztime 10s
 	$(GO) test ./internal/smt/ -run '^$$' -fuzz 'FuzzIncrementalSolve$$' -fuzztime 10s
+	$(GO) test ./internal/sym/ -run '^$$' -fuzz 'FuzzRewriteAppliesSum$$' -fuzztime 10s
 
 bench:
 	$(GO) test -bench . -benchtime 1x

@@ -174,6 +174,52 @@ type prover struct {
 	// the clock.
 	polls    int
 	timedOut bool
+	// trail is the proof-step stack of the branch being explored: a node
+	// pushes its unit steps and each choice before descending, and truncates
+	// back on return. finish renders it when a branch succeeds.
+	trail []tstep
+	// goals[d] is the buffer the children at depth d are built in. Siblings
+	// reuse it: a child's goal is dead once its search returns, because
+	// finish copies the goal it keeps (through AndExpr).
+	goals [][]sym.Expr
+}
+
+// enter charges one proof-search node for a goal of the given width at the
+// given depth, reporting whether the node may be explored. Every node passes
+// through here exactly once — searched, or rejected early as a dead sample
+// binding — so the budget, the deadline polling and the fol.prove.nodes
+// figure do not depend on how a child is rejected.
+func (p *prover) enter(width, depth int) bool {
+	if p.budget <= 0 || depth > p.opts.MaxDepth {
+		return false
+	}
+	// Defensive width guard (independent of the node budget): EUF and sample
+	// steps append equations, so an adversarial goal can grow without ever
+	// burning many nodes. Past the hard cap this branch simply fails.
+	if width > hardMaxConjuncts {
+		return false
+	}
+	if p.timedOut {
+		return false
+	}
+	p.polls++
+	if p.polls&63 == 0 && p.expired() {
+		return false
+	}
+	p.budget--
+	return true
+}
+
+// goal returns the empty child-goal buffer for depth, with room for n
+// conjuncts.
+func (p *prover) goal(depth, n int) []sym.Expr {
+	for len(p.goals) <= depth {
+		p.goals = append(p.goals, nil)
+	}
+	if cap(p.goals[depth]) < n {
+		p.goals[depth] = make([]sym.Expr, 0, n)
+	}
+	return p.goals[depth][:0]
 }
 
 // expired reports (and latches) whether the call's deadline has passed or its
@@ -225,38 +271,31 @@ func (t tstep) String() string {
 	return t.ch.describe()
 }
 
-// search explores proof steps depth-first, returning a strategy or nil.
+// search explores proof steps depth-first, returning a strategy or nil. It
+// owns conjuncts (simplify rewrites it in place) and may append to defs only
+// past its capacity, which every caller limits to its length.
 func (p *prover) search(conjuncts []sym.Expr, defs []Def, depth int) *Strategy {
-	return p.searchT(conjuncts, defs, nil, depth)
+	if !p.enter(len(conjuncts), depth) {
+		return nil
+	}
+	mark := len(p.trail)
+	st := p.explore(conjuncts, defs, depth)
+	p.trail = p.trail[:mark]
+	return st
 }
 
-func (p *prover) searchT(conjuncts []sym.Expr, defs []Def, trace []tstep, depth int) *Strategy {
-	if p.budget <= 0 || depth > p.opts.MaxDepth {
-		return nil
-	}
-	// Defensive width guard (independent of the node budget): EUF and sample
-	// steps append equations, so an adversarial goal can grow without ever
-	// burning many nodes. Past the hard cap this branch simply fails.
-	if len(conjuncts) > hardMaxConjuncts {
-		return nil
-	}
-	if p.timedOut {
-		return nil
-	}
-	p.polls++
-	if p.polls&63 == 0 && p.expired() {
-		return nil
-	}
-	p.budget--
-
+// explore is search past the node charge: simplify the goal, then finish it
+// or branch on its first open conjunct.
+func (p *prover) explore(conjuncts []sym.Expr, defs []Def, depth int) *Strategy {
 	before := len(defs)
 	conjuncts, defs, ok := p.simplify(conjuncts, defs)
 	if !ok {
 		return nil
 	}
 	for _, d := range defs[before:] {
-		trace = append(trace, tstep{unit: true, def: d})
+		p.trail = append(p.trail, tstep{unit: true, def: d})
 	}
+	defs = defs[:len(defs):len(defs)]
 
 	// Find the first conjunct that still mentions an uninterpreted
 	// application or is a disjunction; if none, finish arithmetically.
@@ -268,16 +307,18 @@ func (p *prover) searchT(conjuncts []sym.Expr, defs []Def, trace []tstep, depth 
 		}
 	}
 	if target == -1 {
-		return p.finish(conjuncts, defs, trace)
+		return p.finish(conjuncts, defs)
 	}
 
 	var found *Strategy
 	p.eachChoice(conjuncts, target, func(ch choice) bool {
-		next, ndefs, ok := p.apply(conjuncts, defs, ch)
+		next, ndefs, ok := p.apply(conjuncts, defs, ch, depth+1)
 		if !ok {
 			return false
 		}
-		found = p.searchT(next, ndefs, append(trace[:len(trace):len(trace)], tstep{ch: ch}), depth+1)
+		p.trail = append(p.trail, tstep{ch: ch})
+		found = p.search(next, ndefs, depth+1)
+		p.trail = p.trail[:len(p.trail)-1]
 		return found != nil
 	})
 	return found
@@ -299,22 +340,24 @@ func (ch choice) describe() string {
 }
 
 // simplify applies sample rewriting of ground applications, constant folding,
-// and unit propagation (x = c) to a fixpoint.
+// and unit propagation (x = c) to a fixpoint. It rewrites conjuncts in place
+// (the caller hands over ownership) and appends unit definitions to defs,
+// which reallocates because the caller limits its capacity.
 func (p *prover) simplify(conjuncts []sym.Expr, defs []Def) ([]sym.Expr, []Def, bool) {
-	cs := append([]sym.Expr(nil), conjuncts...)
-	ds := append([]Def(nil), defs...)
+	cs, ds := conjuncts, defs
 	for {
 		changed := false
 		// Ground-application rewriting: f(42) → 567 when sampled.
 		for i, c := range cs {
 			nc := sym.RewriteApplies(c, func(a *sym.Apply) (*sym.Sum, bool) {
-				args := make([]int64, len(a.Args))
-				for k, arg := range a.Args {
+				var buf [8]int64
+				args := buf[:0]
+				for _, arg := range a.Args {
 					v, isC := arg.IsConst()
 					if !isC {
 						return nil, false
 					}
-					args[k] = v
+					args = append(args, v)
 				}
 				if out, ok := p.samples.Lookup(a.Fn, args); ok {
 					return sym.Int(out), true
@@ -438,17 +481,22 @@ func (p *prover) eachChoice(conjuncts []sym.Expr, target int, try func(choice) b
 		// Sample binding: for each application in the conjunct, each
 		// recorded sample of its function symbol is a candidate.
 		for _, app := range sym.Applies(c) {
-			for _, s := range p.samples.ForFunc(app.Fn) {
-				if try(choice{kind: 2, sampApp: app, sampVal: s, dropIdx: target}) {
-					return
-				}
+			done := !p.samples.EachForFunc(app.Fn, func(s sym.Sample) bool {
+				return !try(choice{kind: 2, sampApp: app, sampVal: s, dropIdx: target})
+			})
+			if done {
+				return
 			}
 		}
 	}
 }
 
-// apply executes one proof step, returning the new goal state.
-func (p *prover) apply(conjuncts []sym.Expr, defs []Def, ch choice) ([]sym.Expr, []Def, bool) {
+// apply executes one proof step, building the child goal at depth in the
+// depth's reusable buffer. It reports false when the step does not apply —
+// or, for a sample binding, when the child is already dead: some conjunct
+// folded to false, so the child's simplify would fail on entry. A dead child
+// is still charged its node (enter), exactly as searching it would have been.
+func (p *prover) apply(conjuncts []sym.Expr, defs []Def, ch choice, depth int) ([]sym.Expr, []Def, bool) {
 	switch ch.kind {
 	case 0: // definitional
 		// Occurs-check against applications: x must not appear inside the
@@ -457,19 +505,19 @@ func (p *prover) apply(conjuncts []sym.Expr, defs []Def, ch choice) ([]sym.Expr,
 		if sym.OccursVar(ch.defTerm, ch.defVar.ID) {
 			return nil, nil, false
 		}
-		ndefs := append(append([]Def(nil), defs...), Def{Var: ch.defVar, Term: ch.defTerm})
+		ndefs := append(defs, Def{Var: ch.defVar, Term: ch.defTerm})
 		binding := map[int]*sym.Sum{ch.defVar.ID: ch.defTerm}
-		next := make([]sym.Expr, 0, len(conjuncts)-1)
+		next := p.goal(depth, len(conjuncts)-1)
 		for i, c := range conjuncts {
 			if i == ch.dropIdx {
 				continue
 			}
 			next = append(next, sym.SubstVars(c, binding))
 		}
-		return next, ndefs, true
+		return next, ndefs[:len(ndefs):len(ndefs)], true
 
 	case 1: // euf
-		next := make([]sym.Expr, 0, len(conjuncts)+len(ch.eufEqs))
+		next := p.goal(depth, len(conjuncts)+len(ch.eufEqs))
 		for i, c := range conjuncts {
 			if i == ch.eufIdx {
 				continue
@@ -481,24 +529,35 @@ func (p *prover) apply(conjuncts []sym.Expr, defs []Def, ch choice) ([]sym.Expr,
 
 	case 2: // sample binding
 		app, s := ch.sampApp, ch.sampVal
-		next := make([]sym.Expr, 0, len(conjuncts)+len(app.Args))
+		n := len(conjuncts)
+		next := p.goal(depth, n+len(app.Args))[:n+len(app.Args)]
 		key := app.Key()
 		out := sym.Int(s.Out) // terms are immutable: one constant serves every rewrite
-		for _, c := range conjuncts {
-			next = append(next, sym.RewriteApplies(c, func(a *sym.Apply) (*sym.Sum, bool) {
-				if a.Key() == key {
-					return out, true
-				}
-				return nil, false
-			}))
+		repl := func(a *sym.Apply) (*sym.Sum, bool) {
+			if a.Key() == key {
+				return out, true
+			}
+			return nil, false
 		}
-		for i, arg := range app.Args {
-			next = append(next, sym.Eq(arg, sym.Int(s.Args[i])))
+		// Back to front: the negated constraint comes last in every goal, and
+		// it is the conjunct a wrong sample contradicts.
+		dead := false
+		for i := n - 1; i >= 0 && !dead; i-- {
+			next[i] = sym.RewriteApplies(conjuncts[i], repl)
+			dead = next[i] == sym.False
+		}
+		for i := 0; i < len(app.Args) && !dead; i++ {
+			next[n+i] = sym.Eq(app.Args[i], sym.Int(s.Args[i]))
+			dead = next[n+i] == sym.False
+		}
+		if dead {
+			p.enter(len(next), depth)
+			return nil, nil, false
 		}
 		return next, defs, true
 
 	case 3: // disjunct selection
-		next := make([]sym.Expr, 0, len(conjuncts))
+		next := p.goal(depth, len(conjuncts))
 		for i, c := range conjuncts {
 			if i == ch.dropIdx {
 				continue
@@ -513,7 +572,7 @@ func (p *prover) apply(conjuncts []sym.Expr, defs []Def, ch choice) ([]sym.Expr,
 
 // finish solves the residual apply-free conjuncts arithmetically and folds
 // the model into the strategy.
-func (p *prover) finish(conjuncts []sym.Expr, defs []Def, trace []tstep) *Strategy {
+func (p *prover) finish(conjuncts []sym.Expr, defs []Def) *Strategy {
 	residual := sym.AndExpr(conjuncts...)
 	if residual == sym.False {
 		return nil
@@ -521,9 +580,9 @@ func (p *prover) finish(conjuncts []sym.Expr, defs []Def, trace []tstep) *Strate
 	// The branch succeeded (or is one residual solve away): now it is worth
 	// rendering the symbolic trace into the human-readable proof.
 	var proof []string
-	if len(trace) > 0 {
-		proof = make([]string, 0, len(trace))
-		for _, t := range trace {
+	if len(p.trail) > 0 {
+		proof = make([]string, 0, len(p.trail))
+		for _, t := range p.trail {
 			proof = append(proof, t.String())
 		}
 	}

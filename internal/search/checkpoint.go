@@ -209,19 +209,24 @@ func (s *Stats) encodeRec() statsRec {
 		CovTrace:          s.CovTrace,
 		BranchCov:         make(map[int][2]bool, len(s.branchCov)),
 		BugSeen:           sortedKeys(s.bugSeen),
-		Paths:             sortedKeys(s.paths),
+		Paths:             make([]string, 0, len(s.paths)),
 	}
 	for id, c := range s.branchCov {
 		rec.BranchCov[id] = *c
 	}
+	for k := range s.paths {
+		rec.Paths = append(rec.Paths, unpackPath(k))
+	}
+	sort.Strings(rec.Paths)
 	return rec
 }
 
 // applyRec loads a serialized record into the statistics, replacing the
 // search-state fields and leaving session-local scheduling fields (Workers,
 // ProofsPerWorker, WallTime, SolveTime) and the current session's budget
-// configuration untouched.
-func (s *Stats) applyRec(rec statsRec) {
+// configuration untouched. A path that is not a string of '0' and '1' is an
+// error: no run records one, so the record is corrupt.
+func (s *Stats) applyRec(rec statsRec) error {
 	configured := s.Budget.Configured
 	s.Mode = rec.Mode
 	s.Runs = rec.Runs
@@ -256,9 +261,14 @@ func (s *Stats) applyRec(rec statsRec) {
 		s.bugSeen[k] = true
 	}
 	s.paths = make(map[string]bool, len(rec.Paths))
-	for _, k := range rec.Paths {
+	for _, path := range rec.Paths {
+		k, ok := packPath(path)
+		if !ok {
+			return fmt.Errorf("search: snapshot path %q is not a branch trace of 0s and 1s", path)
+		}
 		s.paths[k] = true
 	}
+	return nil
 }
 
 // Canonical returns a deterministic JSON rendering of the
@@ -519,7 +529,9 @@ func (s *searcher) restoreSnapshot(snap *Snapshot) error {
 		}
 	}
 	res := sym.NewResolver(s.eng.Pool, s.eng.InputVars)
-	s.stats.applyRec(snap.Stats)
+	if err := s.stats.applyRec(snap.Stats); err != nil {
+		return err
+	}
 	var err error
 	if s.hot, err = decodeItems(snap.Hot, res); err != nil {
 		return err

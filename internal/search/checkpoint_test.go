@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"hotg/internal/concolic"
@@ -328,6 +329,14 @@ func TestSnapshotValidateRejects(t *testing.T) {
 	}
 	if err := snap.Validate(concolic.New(w.Build(), concolic.ModeHigherOrder)); err != nil {
 		t.Errorf("valid snapshot rejected: %v", err)
+	}
+	// Paths are kept packed one bit per branch event, so a path that is not
+	// a string of 0s and 1s cannot be stored: it is rejected, never altered.
+	bad = *snap
+	bad.Stats.Paths = append([]string{"01x"}, snap.Stats.Paths...)
+	if err := bad.Validate(concolic.New(w.Build(), concolic.ModeHigherOrder)); err == nil ||
+		!strings.Contains(err.Error(), `"01x"`) {
+		t.Errorf("non-binary path: Validate = %v, want an error naming the path", err)
 	}
 }
 

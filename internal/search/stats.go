@@ -8,6 +8,7 @@
 package search
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -124,7 +125,9 @@ type Stats struct {
 	Bugs    []Bug
 	bugSeen map[string]bool
 
-	// Paths explored (distinct branch traces).
+	// Paths explored (distinct branch traces), keyed by packPath: a uvarint
+	// event count, then one bit per branch event, where Result.Path spends a
+	// byte per event. encodeRec expands the keys back to Path strings.
 	paths map[string]bool
 
 	// CovTrace[i] is the cumulative branch-side coverage after run i+1 —
@@ -219,7 +222,8 @@ func (s *Stats) recordRunFuncs(res *mini.Result, input []int64, funcs []string) 
 			gained++
 		}
 	}
-	s.paths[res.Path()] = true
+	k, _ := packPath(res.Path())
+	s.paths[k] = true
 	s.CovTrace = append(s.CovTrace, s.BranchSidesCovered())
 	switch res.Kind {
 	case mini.StopError:
@@ -278,6 +282,36 @@ func (s *Stats) Coverage() float64 {
 		return 1
 	}
 	return float64(s.BranchSidesCovered()) / float64(s.BranchSidesTotal())
+}
+
+// packPath packs a Result.Path string — one '0' or '1' per branch event — into
+// a key of Stats.paths: the event count as a uvarint, then the events one bit
+// each, least significant bit first. It reports false if path holds any other
+// byte.
+func packPath(path string) (string, bool) {
+	b := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+(len(path)+7)/8), uint64(len(path)))
+	n := len(b)
+	b = b[:n+(len(path)+7)/8]
+	for i := 0; i < len(path); i++ {
+		switch path[i] {
+		case '1':
+			b[n+i/8] |= 1 << (i % 8)
+		case '0':
+		default:
+			return "", false
+		}
+	}
+	return string(b), true
+}
+
+// unpackPath inverts packPath.
+func unpackPath(key string) string {
+	n, w := binary.Uvarint([]byte(key))
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = '0' + key[w+i/8]>>(i%8)&1
+	}
+	return string(out)
 }
 
 // Paths returns the number of distinct control paths executed.

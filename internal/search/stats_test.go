@@ -1,6 +1,7 @@
 package search
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -122,5 +123,32 @@ func TestSummaryCoverageAndBugs(t *testing.T) {
 	}
 	if len(s.Bugs) != 1 || s.Bugs[0].Run != 1 {
 		t.Errorf("bug dedup failed: %v", s.Bugs)
+	}
+}
+
+// TestPackPathRoundTrip checks that the packed path keys invert exactly and
+// keep distinct traces distinct, including traces that differ only in length
+// (trailing not-taken events pack to the same bits).
+func TestPackPathRoundTrip(t *testing.T) {
+	paths := []string{"", "0", "1", "00", "01", "10", "0000000", "00000000", "000000000",
+		"101100111000111101", strings.Repeat("01", 300)}
+	seen := map[string]string{}
+	for _, p := range paths {
+		k, ok := packPath(p)
+		if !ok {
+			t.Fatalf("packPath(%q) rejected a binary path", p)
+		}
+		if got := unpackPath(k); got != p {
+			t.Errorf("unpackPath(packPath(%q)) = %q", p, got)
+		}
+		if prev, dup := seen[k]; dup {
+			t.Errorf("paths %q and %q pack to the same key", prev, p)
+		}
+		seen[k] = p
+	}
+	for _, bad := range []string{"2", "01a", "0 1", "\x00"} {
+		if _, ok := packPath(bad); ok {
+			t.Errorf("packPath(%q) accepted a non-binary path", bad)
+		}
 	}
 }

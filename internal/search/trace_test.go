@@ -263,3 +263,16 @@ func TestTraceDeterministicWithIntrospection(t *testing.T) {
 		}
 	}
 }
+
+// TestLexerProverWorkPinned pins the prover's work on the Section 7 lexer
+// (higher-order, 300 runs, one worker): validity proofs attempted and proof-
+// search nodes charged. Prover optimizations must leave both unchanged —
+// every node is charged whether a child goal is searched or rejected early.
+func TestLexerProverWorkPinned(t *testing.T) {
+	o, _ := tracedRun(lexapp.Lexer(), concolic.ModeHigherOrder, search.Options{MaxRuns: 300}, 1)
+	nodes := o.Histogram("fol.prove.nodes").Snapshot().Sum
+	calls := o.Counter("fol.prove.calls").Value()
+	if nodes != 33197 || calls != 2098 {
+		t.Errorf("lexer HO 300 runs: fol.prove.nodes = %d, fol.prove.calls = %d; want 33197, 2098", nodes, calls)
+	}
+}

@@ -2,6 +2,7 @@ package sym
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -24,11 +25,19 @@ func (s Sample) String() string {
 }
 
 func argsKey(args []int64) string {
-	parts := make([]string, len(args))
+	return string(appendArgsKey(nil, args))
+}
+
+// appendArgsKey appends the sample-map key of args — decimal values joined by
+// commas — to b.
+func appendArgsKey(b []byte, args []int64) []byte {
 	for i, a := range args {
-		parts[i] = fmt.Sprintf("%d", a)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, a, 10)
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // SampleStore is the IOF table of Figure 3: concrete input–output samples of
@@ -103,9 +112,11 @@ func (s *SampleStore) Add(f *Func, args []int64, out int64) bool {
 
 // Lookup returns the recorded output of f on args.
 func (s *SampleStore) Lookup(f *Func, args []int64) (int64, bool) {
+	var buf [64]byte
+	k := appendArgsKey(buf[:0], args)
 	s.mu.RLock()
 	if m := s.byFn[f]; m != nil {
-		if smp, ok := m[argsKey(args)]; ok {
+		if smp, ok := m[string(k)]; ok {
 			s.mu.RUnlock()
 			return smp.Out, true
 		}
@@ -132,6 +143,27 @@ func (s *SampleStore) ForFunc(f *Func) []Sample {
 		}
 	}
 	return out
+}
+
+// EachForFunc calls fn on each sample of f in insertion order (base entries
+// first for an overlay) until fn returns false, and reports whether it
+// visited them all. Unlike ForFunc it copies nothing: each level's
+// append-only order slice is snapshotted under the read lock before any
+// callback runs, and no lock is held while fn runs, so fn may call back into
+// the store (the prover recurses from it).
+func (s *SampleStore) EachForFunc(f *Func, fn func(Sample) bool) bool {
+	s.mu.RLock()
+	order := s.order
+	s.mu.RUnlock()
+	if s.base != nil && !s.base.EachForFunc(f, fn) {
+		return false
+	}
+	for _, smp := range order {
+		if smp.Fn == f && !fn(smp) {
+			return false
+		}
+	}
+	return true
 }
 
 // All returns every sample in insertion order (base entries first for an

@@ -2,6 +2,8 @@ package sym
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -178,5 +180,52 @@ func TestSampleString(t *testing.T) {
 	smp := Sample{Fn: g, Args: []int64{1, -2}, Out: 7}
 	if got := smp.String(); got != "g(1,-2)=7" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// TestEachForFuncMatchesForFunc checks the copy-free iteration against
+// ForFunc on an overlay (base entries first), including an early stop.
+func TestEachForFuncMatchesForFunc(t *testing.T) {
+	var p Pool
+	f, g := p.FuncSym("f", 1), p.FuncSym("g", 2)
+	base := NewSampleStore()
+	base.Add(f, []int64{1}, 10)
+	base.Add(g, []int64{1, 2}, 3)
+	base.Add(f, []int64{2}, 20)
+	ov := NewOverlay(base)
+	ov.Add(f, []int64{3}, 30)
+	ov.Add(g, []int64{4, 5}, 9)
+	for _, s := range []*SampleStore{base, ov} {
+		for _, fn := range []*Func{f, g} {
+			var got []string
+			if !s.EachForFunc(fn, func(smp Sample) bool { got = append(got, smp.String()); return true }) {
+				t.Fatalf("EachForFunc(%s) stopped without being asked to", fn)
+			}
+			var want []string
+			for _, smp := range s.ForFunc(fn) {
+				want = append(want, smp.String())
+			}
+			if strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Errorf("EachForFunc(%s) = %v, ForFunc = %v", fn, got, want)
+			}
+		}
+	}
+	n := 0
+	if ov.EachForFunc(f, func(Sample) bool { n++; return n < 2 }) || n != 2 {
+		t.Errorf("early stop: visited %d samples, want 2 and a false result", n)
+	}
+}
+
+// TestArgsKeyBytes pins the sample-map key format: decimal values joined by
+// commas, as fmt's %d renders them.
+func TestArgsKeyBytes(t *testing.T) {
+	for _, args := range [][]int64{nil, {0}, {-1, 2}, {math.MinInt64, math.MaxInt64, 7}} {
+		parts := make([]string, len(args))
+		for i, a := range args {
+			parts[i] = fmt.Sprintf("%d", a)
+		}
+		if got, want := argsKey(args), strings.Join(parts, ","); got != want {
+			t.Errorf("argsKey(%v) = %q, want %q", args, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // Vars returns the free variables of e, deduplicated and ordered by ID.
@@ -339,39 +340,40 @@ func substVarsSlice(xs []Expr, binding map[int]*Sum) []Expr {
 // SubstVarsSum substitutes terms for variables throughout the integer term s.
 // Returns s itself when no binding applies.
 func SubstVarsSum(s *Sum, binding map[int]*Sum) *Sum {
-	var out *Sum
+	var b sumBuilder
+	changed := false
 	for i, t := range s.Terms {
 		switch a := t.Atom.(type) {
 		case *Var:
 			repl, ok := binding[a.ID]
 			if !ok {
-				if out != nil {
-					out = AddSum(out, &Sum{Terms: s.Terms[i : i+1]})
+				if changed {
+					b.push(t)
 				}
 				continue
 			}
-			if out == nil {
-				out = &Sum{Const: s.Const, Terms: append([]Term(nil), s.Terms[:i]...)}
+			if !changed {
+				b, changed = startSum(s, i), true
 			}
-			out = AddSum(out, ScaleSum(t.Coef, repl))
+			b.addScaled(t.Coef, repl)
 		case *Apply:
 			na := substVarsApply(a, binding)
 			if na == a {
-				if out != nil {
-					out = AddSum(out, &Sum{Terms: s.Terms[i : i+1]})
+				if changed {
+					b.push(t)
 				}
 				continue
 			}
-			if out == nil {
-				out = &Sum{Const: s.Const, Terms: append([]Term(nil), s.Terms[:i]...)}
+			if !changed {
+				b, changed = startSum(s, i), true
 			}
-			out = AddSum(out, ScaleSum(t.Coef, AtomTerm(na)))
+			b.addAtom(t.Coef, na)
 		}
 	}
-	if out == nil {
+	if !changed {
 		return s
 	}
-	return out
+	return b.sum()
 }
 
 func substVarsApply(a *Apply, binding map[int]*Sum) *Apply {
@@ -452,38 +454,37 @@ func rewriteAppliesSlice(xs []Expr, repl func(*Apply) (*Sum, bool)) []Expr {
 // RewriteAppliesSum is RewriteApplies specialized to integer terms. Returns
 // s itself when nothing inside changed.
 func RewriteAppliesSum(s *Sum, repl func(*Apply) (*Sum, bool)) *Sum {
-	var out *Sum
+	var b sumBuilder
+	changed := false
 	for i, t := range s.Terms {
 		a, isApp := t.Atom.(*Apply)
 		if !isApp {
-			if out != nil {
-				out = AddSum(out, &Sum{Terms: s.Terms[i : i+1]})
+			if changed {
+				b.push(t)
 			}
 			continue
 		}
 		na := rewriteAppliesApply(a, repl)
-		if r, ok := repl(na); ok {
-			if out == nil {
-				out = &Sum{Const: s.Const, Terms: append([]Term(nil), s.Terms[:i]...)}
-			}
-			out = AddSum(out, ScaleSum(t.Coef, r))
-			continue
-		}
-		if na == a {
-			if out != nil {
-				out = AddSum(out, &Sum{Terms: s.Terms[i : i+1]})
+		r, ok := repl(na)
+		if !ok && na == a {
+			if changed {
+				b.push(t)
 			}
 			continue
 		}
-		if out == nil {
-			out = &Sum{Const: s.Const, Terms: append([]Term(nil), s.Terms[:i]...)}
+		if !changed {
+			b, changed = startSum(s, i), true
 		}
-		out = AddSum(out, ScaleSum(t.Coef, AtomTerm(na)))
+		if ok {
+			b.addScaled(t.Coef, r)
+		} else {
+			b.addAtom(t.Coef, na)
+		}
 	}
-	if out == nil {
+	if !changed {
 		return s
 	}
-	return out
+	return b.sum()
 }
 
 func rewriteAppliesApply(a *Apply, repl func(*Apply) (*Sum, bool)) *Apply {
@@ -502,6 +503,96 @@ func rewriteAppliesApply(a *Apply, repl func(*Apply) (*Sum, bool)) *Apply {
 		return a
 	}
 	return &Apply{Fn: a.Fn, Args: args}
+}
+
+// sumBuilder collects the terms of a rewritten Sum and canonicalizes them
+// once, in place of one AddSum (and ScaleSum) allocation per term. The result
+// is Key-identical to folding each contribution into the running sum with
+// AddSum, zero coefficients included: a contribution that cancels its atom's
+// running total drops the atom, and a zero coefficient (reachable only
+// through int64 overflow) arriving for an absent atom is kept, as AddSum's
+// merge keeps it.
+type sumBuilder struct {
+	c     int64
+	terms []Term
+	// unsorted records that some term arrived at or before its predecessor's
+	// key, so sum must sort and merge; terms that arrive in strictly
+	// increasing key order are already canonical.
+	unsorted bool
+}
+
+// startSum begins a rewrite of s whose first i terms are unchanged. The
+// prefix is aliased with its capacity limited, so the first push copies it
+// rather than writing into s.
+func startSum(s *Sum, i int) sumBuilder {
+	return sumBuilder{c: s.Const, terms: s.Terms[:i:i]}
+}
+
+func (b *sumBuilder) push(t Term) {
+	if n := len(b.terms); n > 0 && !b.unsorted {
+		if last := b.terms[n-1].Atom; last == t.Atom || last.Key() >= t.Atom.Key() {
+			b.unsorted = true
+		}
+	}
+	b.terms = append(b.terms, t)
+}
+
+// addScaled adds k·r, as AddSum(sum, ScaleSum(k, r)) does.
+func (b *sumBuilder) addScaled(k int64, r *Sum) {
+	if k == 0 { // ScaleSum(0, r) is the constant 0
+		return
+	}
+	b.c += k * r.Const
+	for _, t := range r.Terms {
+		b.push(Term{Coef: k * t.Coef, Atom: t.Atom})
+	}
+}
+
+// addAtom adds k·a, as AddSum(sum, ScaleSum(k, AtomTerm(a))) does.
+func (b *sumBuilder) addAtom(k int64, a Atom) {
+	if k != 0 {
+		b.push(Term{Coef: k, Atom: a})
+	}
+}
+
+func (b *sumBuilder) sum() *Sum {
+	terms := b.terms
+	if b.unsorted {
+		// The first push copied the aliased prefix, so terms is owned here.
+		slices.SortStableFunc(terms, func(x, y Term) int {
+			return strings.Compare(x.Atom.Key(), y.Atom.Key())
+		})
+		terms = mergeRuns(terms)
+	}
+	return &Sum{Const: b.c, Terms: terms}
+}
+
+// mergeRuns folds each run of equal atom keys in key-sorted terms, in arrival
+// order, the way successive AddSum merges fold them: the first term of a run
+// is taken as is, each later one is added to it, and a total of zero drops
+// the atom until the run's next term re-inserts it. It compacts in place.
+func mergeRuns(terms []Term) []Term {
+	out := terms[:0]
+	for i := 0; i < len(terms); {
+		key := terms[i].Atom.Key()
+		acc, present := terms[i], true
+		j := i + 1
+		for ; j < len(terms) && (terms[j].Atom == acc.Atom || terms[j].Atom.Key() == key); j++ {
+			switch t := terms[j]; {
+			case !present:
+				acc, present = t, true
+			case acc.Coef+t.Coef == 0:
+				present = false
+			default:
+				acc.Coef += t.Coef
+			}
+		}
+		if present {
+			out = append(out, acc)
+		}
+		i = j
+	}
+	return out
 }
 
 // Conjuncts flattens e into a list of conjuncts (e itself if it is not a
